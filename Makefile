@@ -8,7 +8,7 @@ GO ?= go
 # Worker count for test-dispatch and run-workers.
 N ?= 4
 
-.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci run-daemon run-workers
+.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke results-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci run-daemon run-workers
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,22 @@ replacement-smoke:
 loadgen-smoke:
 	$(GO) test -count=1 -run TestLoadgenSmoke ./internal/loadgen/
 
+# Full-size results smoke: the noise artifacts (fig9, fig10, capacity —
+# the only ones with access-stream threads) at full size with a cold
+# cell cache, once under each access-stream kernel; every TSV must equal
+# the committed one under results/ byte for byte.
+RESULTS_SMOKE ?= /tmp/cohsim-results-smoke
+results-smoke:
+	$(GO) build -o $(RESULTS_SMOKE)/experiments ./cmd/experiments
+	set -e; for k in interp compiled; do \
+		rm -rf $(RESULTS_SMOKE)/$$k; \
+		$(RESULTS_SMOKE)/experiments -only fig9,fig10,capacity -cache=false -kernel $$k -out $(RESULTS_SMOKE)/$$k >/dev/null; \
+		for f in fig9_noise_accuracy.tsv fig10_ecc.tsv capacity.tsv; do \
+			cmp $(RESULTS_SMOKE)/$$k/$$f results/$$f; \
+		done; \
+		echo "results-smoke: $$k kernel matches results/"; \
+	done
+
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -115,7 +131,7 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-smoke loadgen-smoke
+ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-smoke loadgen-smoke results-smoke
 
 # Start the experiment service daemon on :8080 (state under
 # results-daemon/). See EXPERIMENTS.md for the API walkthrough.

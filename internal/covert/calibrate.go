@@ -38,6 +38,7 @@ func measure(cfg machine.Config, seed uint64, n int, extra func(*sim.World, *mac
 		return nil, err
 	}
 	w := sim.NewWorld(sim.Config{Seed: seed})
+	defer w.Drain() // every exit path; see Channel.Run
 	m := machine.New(w, cfg)
 	if extra != nil {
 		extra(w, m)
@@ -61,7 +62,6 @@ func measure(cfg machine.Config, seed uint64, n int, extra func(*sim.World, *mac
 	if err := w.RunUntilDeadline(sim.NoDeadline, func() bool { return len(out) >= n }); err != nil {
 		return nil, err
 	}
-	w.Drain()
 	return out, nil
 }
 

@@ -113,6 +113,9 @@ func (c *Channel) Run(bits []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Drain on every exit path — a drive error or a re-panicked thread
+	// failure included — so parked threads never leak their goroutines.
+	defer sess.World.Drain()
 	if !sess.Supports(c.Scenario) {
 		return nil, fmt.Errorf("covert: machine cannot host scenario %s (no remote socket)", c.Scenario.Name())
 	}
@@ -159,7 +162,6 @@ func (c *Channel) Run(bits []byte) (*Result, error) {
 		return nil, err
 	}
 	tr.stop()
-	sess.World.Drain()
 
 	res := &Result{
 		Scenario:      c.Scenario,

@@ -89,6 +89,7 @@ func (c DirtyStateChannel) Run(bits []byte) (*SlotResult, error) {
 		period = DefaultDirtyStatePeriod
 	}
 	w := sim.NewWorld(sim.Config{Seed: c.WorldSeed})
+	defer w.Drain() // every exit path; see Channel.Run
 	m := machine.New(w, cfg)
 	k := kernel.New(m, 0)
 	trojanProc := k.NewProcess("trojan")

@@ -132,6 +132,7 @@ func (c LRUStateChannel) Run(bits []byte) (*SlotResult, error) {
 		period = DefaultLRUStatePeriod
 	}
 	w := sim.NewWorld(sim.Config{Seed: c.WorldSeed})
+	defer w.Drain() // every exit path; see Channel.Run
 	m := machine.New(w, cfg)
 	k := kernel.New(m, 0)
 	trojanProc := k.NewProcess("trojan")

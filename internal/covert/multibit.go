@@ -215,6 +215,7 @@ func (c *MultiBitChannel) Run(bits []byte) (*MultiBitResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sess.World.Drain() // every exit path; see Channel.Run
 	var bands Bands
 	if c.Bands != nil {
 		bands = *c.Bands
@@ -237,7 +238,6 @@ func (c *MultiBitChannel) Run(bits []byte) (*MultiBitResult, error) {
 		return nil, err
 	}
 	tr.stop()
-	sess.World.Drain()
 
 	res := &MultiBitResult{
 		TxBits:      append([]byte(nil), bits...),

@@ -77,6 +77,7 @@ func (c *ParallelChannel) Run(bits []byte) (*ParallelResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sess.World.Drain() // every exit path; see Channel.Run
 	if !sess.Supports(c.Scenario) {
 		return nil, fmt.Errorf("covert: machine cannot host scenario %s", c.Scenario.Name())
 	}
@@ -120,7 +121,6 @@ func (c *ParallelChannel) Run(bits []byte) (*ParallelResult, error) {
 		return nil, err
 	}
 	tr.stop()
-	sess.World.Drain()
 
 	res := &ParallelResult{
 		TxBits:  append([]byte(nil), bits...),

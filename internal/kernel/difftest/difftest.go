@@ -1,19 +1,23 @@
-// Package difftest is the differential-correctness harness for the two
-// access-stream kernels: it generates seeded random multi-thread traces,
-// executes each trace once under the interpreted kernel and once under
-// the compiled kernel, and asserts that the two runs are indistinguishable
-// — identical per-access virtual times, identical machine state digest
-// (which covers every cache line, directory record, per-line bookkeeping
-// and the access statistics), and conserved operation counts. A failing
-// trace can be shrunk to a minimal reproduction.
+// Package difftest is the differential-correctness harness for the
+// access-stream executor (kernel.SpawnStream): it generates seeded random
+// multi-thread traces, executes each trace with a hand-written goroutine
+// loop — the oracle, issuing kernel.Thread Load/Store/Flush and
+// Advance(think) exactly as a thread body would — and then as stepped
+// streams under the interp and the compiled kernel, and asserts that the
+// stream runs are indistinguishable from the oracle: identical
+// per-segment virtual times, identical machine state digest (which
+// covers every cache line, directory record, per-line bookkeeping and
+// the access statistics), identical trace events when observed, and
+// conserved operation counts. A failing trace can be shrunk to a minimal
+// reproduction.
 //
-// The generated traces deliberately cover the compiled kernel's proof
+// The generated traces deliberately cover the executor's proof
 // obligations: multi-page address pools (TLB and set-conflict pressure),
-// shared read-only pages whose stores must take the COW faulting path
-// (per-op fallback), mid-trace mmaps that bump the mapping epoch (stale
-// translation re-resolution), zero-think operations (unfused advances),
-// and multiple threads on distinct cores whose interleaving the fused
-// advance must not perturb.
+// shared read-only pages whose stores must take the COW faulting path,
+// mid-trace mmaps that bump the mapping epoch (stale translation
+// re-resolution), zero-think operations (unfused advances), and multiple
+// threads on distinct cores whose interleaving the fused advance must not
+// perturb.
 package difftest
 
 import (
@@ -51,9 +55,10 @@ type ThreadTrace struct {
 	Core int
 	// Ops is the operation list.
 	Ops []Op
-	// Seg partitions Ops into the programs handed to Exec: segment i
-	// covers Seg[i] consecutive ops. Grow ops always sit alone in a
-	// segment. Sum(Seg) == len(Ops).
+	// Seg partitions Ops into the programs a stream's refill builds:
+	// segment i covers Seg[i] consecutive ops. Grow ops always sit alone
+	// in a segment (the refill performs them between programs).
+	// Sum(Seg) == len(Ops).
 	Seg []int
 }
 
@@ -73,10 +78,13 @@ type Trace struct {
 	// the corpus over every protocol × policy combination is what proves
 	// that claim holds.
 	Replacement string
-	Procs       int
-	Private     int // private pages per process
-	Shared      int // read-only pages shared by all processes
-	Threads     []ThreadTrace
+	// Traced attaches an access observer, so every run also records the
+	// event stream, which must arrive in the same order.
+	Traced  bool
+	Procs   int
+	Private int // private pages per process
+	Shared  int // read-only pages shared by all processes
+	Threads []ThreadTrace
 }
 
 // ops returns the total access-op count (Grow excluded).
@@ -173,7 +181,11 @@ func segment(r *rand.Rand, ops []Op) []int {
 	return seg
 }
 
-// Result is one kernel's execution outcome for a trace.
+// Oracle selects the goroutine-loop reference executor in Run; the
+// machine.Kernel names select a stream under that kernel.
+const Oracle = "oracle"
+
+// Result is one executor's outcome for a trace.
 type Result struct {
 	// Times[t][s] is thread t's virtual time after its segment s — the
 	// cumulative sum of every latency and think up to that boundary, so
@@ -181,25 +193,34 @@ type Result struct {
 	Times [][]sim.Cycles
 	// Digest is machine.StateDigest over the final machine state.
 	Digest string
+	// Events is the observed access stream of a Traced trace.
+	Events []machine.AccessEvent
 	// Stream is the kernel's executor statistics.
 	Stream kernel.StreamStats
 }
 
-// Run executes tr under the given kernel mode (machine.KernelInterp or
-// machine.KernelCompiled) in a fresh world and returns the outcome.
-func Run(tr Trace, kernelMode string) Result {
+// Run executes tr in a fresh world with the given executor — Oracle, or
+// a stream under machine.KernelInterp or machine.KernelCompiled — and
+// returns the outcome.
+func Run(tr Trace, executor string) Result {
 	w := sim.NewWorld(sim.Config{Seed: tr.Seed})
 	cfg := machine.DefaultConfig()
 	cfg.Protocol = tr.Protocol
 	cfg.NextLinePrefetch = tr.Prefetch
 	cfg.Mitigations.LLCNotifiedOfEToM = tr.Notify
 	cfg.Replacement = tr.Replacement
-	cfg.Kernel = kernelMode
+	if executor != Oracle {
+		cfg.Kernel = executor
+	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	m := machine.New(w, cfg)
 	k := kernel.New(m, 0)
+	res := Result{Times: make([][]sim.Cycles, len(tr.Threads))}
+	if tr.Traced {
+		m.SetAccessObserver(func(e machine.AccessEvent) { res.Events = append(res.Events, e) })
+	}
 
 	procs := make([]*kernel.Process, tr.Procs)
 	priv := make([]uint64, tr.Procs)
@@ -218,43 +239,76 @@ func Run(tr Trace, kernelMode string) Result {
 		shared[s] = vas
 	}
 
-	res := Result{Times: make([][]sim.Cycles, len(tr.Threads))}
-	for ti := range tr.Threads {
-		th := tr.Threads[ti]
+	for ti, th := range tr.Threads {
+		ti, th := ti, th
 		proc := procs[th.Proc]
-		ti := ti
-		k.Spawn(proc, th.Core, fmt.Sprintf("t%d", ti), func(kt *kernel.Thread) {
-			prog := kernel.NewProgram(proc, 8)
-			i := 0
-			for _, n := range th.Seg {
-				ops := th.Ops[i : i+n]
-				i += n
+		addr := func(op Op) uint64 {
+			if op.Page < tr.Private {
+				return priv[th.Proc] + uint64(op.Page)*kernel.PageSize + op.Off
+			}
+			return shared[op.Page-tr.Private][th.Proc] + op.Off
+		}
+		name := fmt.Sprintf("t%d", ti)
+		if executor == Oracle {
+			k.Spawn(proc, th.Core, name, func(kt *kernel.Thread) {
+				i := 0
+				for _, n := range th.Seg {
+					for _, op := range th.Ops[i : i+n] {
+						if op.Grow {
+							proc.MustMmap(1)
+							continue
+						}
+						switch op.Kind {
+						case kernel.OpLoad:
+							kt.Load(addr(op))
+						case kernel.OpStore:
+							kt.Store(addr(op))
+						case kernel.OpFlush:
+							kt.Flush(addr(op))
+						}
+						if op.Think > 0 {
+							kt.Advance(op.Think)
+						}
+					}
+					i += n
+					res.Times[ti] = append(res.Times[ti], kt.Now())
+				}
+			})
+			continue
+		}
+		// The stream's refill records the boundary the previous program
+		// ended at, performs Grow segments itself, and builds the next
+		// access segment into the program.
+		var kt *kernel.Thread
+		seg, i := 0, 0
+		refill := func(p *kernel.Program) bool {
+			if seg > 0 {
+				res.Times[ti] = append(res.Times[ti], kt.Now())
+			}
+			for seg < len(th.Seg) {
+				ops := th.Ops[i : i+th.Seg[seg]]
+				i += th.Seg[seg]
+				seg++
 				if ops[0].Grow {
 					proc.MustMmap(1)
 					res.Times[ti] = append(res.Times[ti], kt.Now())
 					continue
 				}
-				prog.Reset()
 				for _, op := range ops {
-					var va uint64
-					if op.Page < tr.Private {
-						va = priv[th.Proc] + uint64(op.Page)*kernel.PageSize + op.Off
-					} else {
-						va = shared[op.Page-tr.Private][th.Proc] + op.Off
-					}
 					switch op.Kind {
 					case kernel.OpLoad:
-						prog.Load(va, op.Think)
+						p.Load(addr(op), op.Think)
 					case kernel.OpStore:
-						prog.Store(va, op.Think)
+						p.Store(addr(op), op.Think)
 					case kernel.OpFlush:
-						prog.Flush(va, op.Think)
+						p.Flush(addr(op), op.Think)
 					}
 				}
-				kt.Exec(prog, nil)
-				res.Times[ti] = append(res.Times[ti], kt.Now())
+				return true
 			}
-		})
+			return false
+		}
+		kt = k.SpawnStream(proc, th.Core, name, refill, nil)
 	}
 	if err := w.Run(); err != nil {
 		panic(err)
@@ -264,7 +318,7 @@ func Run(tr Trace, kernelMode string) Result {
 	return res
 }
 
-// Mismatch describes the first divergence between the two kernels.
+// Mismatch describes the first divergence from the oracle.
 type Mismatch struct {
 	Field  string
 	Detail string
@@ -272,9 +326,11 @@ type Mismatch struct {
 
 func (m *Mismatch) String() string { return m.Field + ": " + m.Detail }
 
-// Compare runs tr under both kernels and returns the first divergence,
-// or nil when the runs are indistinguishable.
+// Compare runs tr under the oracle and as streams under both kernels,
+// and returns the first divergence, or nil when the runs are
+// indistinguishable.
 func Compare(tr Trace) *Mismatch {
+	ro := Run(tr, Oracle)
 	ri := Run(tr, machine.KernelInterp)
 	rc := Run(tr, machine.KernelCompiled)
 
@@ -284,25 +340,46 @@ func Compare(tr Trace) *Mismatch {
 			"interp kernel ran %d interp / %d compiled / %d unfused ops, want %d/0/0",
 			ri.Stream.InterpOps, ri.Stream.CompiledOps, ri.Stream.UnfusedOps, n)}
 	}
-	if got := rc.Stream.CompiledOps + rc.Stream.UnfusedOps + rc.Stream.InterpOps; got != n {
+	if got := rc.Stream.CompiledOps + rc.Stream.UnfusedOps; got != n || rc.Stream.InterpOps != 0 {
 		return &Mismatch{"compiled-conservation", fmt.Sprintf(
-			"compiled kernel accounted %d ops (compiled %d + unfused %d + interp %d), want %d",
+			"compiled kernel accounted %d ops (compiled %d + unfused %d) and %d interp, want %d and 0",
 			got, rc.Stream.CompiledOps, rc.Stream.UnfusedOps, rc.Stream.InterpOps, n)}
 	}
-	for t := range ri.Times {
-		a, b := ri.Times[t], rc.Times[t]
+	for _, r := range []struct {
+		name string
+		res  Result
+	}{{machine.KernelInterp, ri}, {machine.KernelCompiled, rc}} {
+		if mm := diff(ro, r.res, r.name); mm != nil {
+			return mm
+		}
+	}
+	return nil
+}
+
+// diff returns the first divergence of a stream run from the oracle run.
+func diff(ro, r Result, name string) *Mismatch {
+	for t := range ro.Times {
+		a, b := ro.Times[t], r.Times[t]
 		if len(a) != len(b) {
-			return &Mismatch{"times", fmt.Sprintf("thread %d: %d vs %d segment boundaries", t, len(a), len(b))}
+			return &Mismatch{"times", fmt.Sprintf("%s thread %d: %d segment boundaries, oracle %d", name, t, len(b), len(a))}
 		}
 		for s := range a {
 			if a[s] != b[s] {
 				return &Mismatch{"times", fmt.Sprintf(
-					"thread %d segment %d: interp at cycle %d, compiled at %d", t, s, a[s], b[s])}
+					"%s thread %d segment %d: at cycle %d, oracle at %d", name, t, s, b[s], a[s])}
 			}
 		}
 	}
-	if ri.Digest != rc.Digest {
-		return &Mismatch{"digest", fmt.Sprintf("interp %s != compiled %s", ri.Digest, rc.Digest)}
+	if len(ro.Events) != len(r.Events) {
+		return &Mismatch{"events", fmt.Sprintf("%s: %d trace events, oracle %d", name, len(r.Events), len(ro.Events))}
+	}
+	for i := range ro.Events {
+		if ro.Events[i] != r.Events[i] {
+			return &Mismatch{"events", fmt.Sprintf("%s event %d: %+v, oracle %+v", name, i, r.Events[i], ro.Events[i])}
+		}
+	}
+	if ro.Digest != r.Digest {
+		return &Mismatch{"digest", fmt.Sprintf("%s %s != oracle %s", name, r.Digest, ro.Digest)}
 	}
 	return nil
 }

@@ -17,7 +17,8 @@ const corpusPerCombo = 25
 
 // TestDifferentialCorpus executes the deterministic corpus: for every
 // builtin protocol × registered replacement policy, 25 seeded random
-// traces compared between the interpreted and compiled kernels.
+// traces, each run as streams under the interp and compiled kernels and
+// compared with the goroutine oracle.
 // Protocol groups run in parallel so `go test -race` also exercises
 // concurrent worlds.
 func TestDifferentialCorpus(t *testing.T) {
@@ -70,8 +71,8 @@ func TestCompiledPathEngages(t *testing.T) {
 }
 
 // TestFallbacksExercised checks the corpus covers the counted fallback
-// conditions: stores through read-only shared pages must interpret
-// per-op (COW faulting path).
+// condition: stores through read-only shared pages must take the
+// per-op COW faulting path.
 func TestFallbacksExercised(t *testing.T) {
 	var fallbacks uint64
 	for i := 0; i < 50; i++ {
@@ -84,39 +85,95 @@ func TestFallbacksExercised(t *testing.T) {
 	}
 }
 
-// TestTracedMachineFallsBackWholeProgram verifies the whole-program
-// disengage: with a trace observer attached the compiled kernel must
-// interpret everything (events must arrive in cycle order), and still
-// match the interpreted kernel's event stream.
-func TestTracedMachineFallsBackWholeProgram(t *testing.T) {
-	tr := Generate(42, coherence.MESIF)
-	for _, mode := range []string{machine.KernelInterp, machine.KernelCompiled} {
-		w := sim.NewWorld(sim.Config{Seed: 1})
-		cfg := machine.DefaultConfig()
-		cfg.Kernel = mode
-		m := machine.New(w, cfg)
-		var events int
-		m.SetAccessObserver(func(machine.AccessEvent) { events = events + 1 })
-		k := kernel.New(m, 0)
-		p := k.NewProcess("p")
-		va := p.MustMmap(1)
-		k.Spawn(p, 0, "t", func(kt *kernel.Thread) {
-			prog := kernel.NewProgram(p, 4)
-			prog.Load(va, 100)
-			prog.Store(va+64, 100)
-			kt.Exec(prog, nil)
-		})
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
+// TestTracedEventOrderIdentical attaches an access observer: a stream
+// must report every access from the slot after its latency advance, so
+// under both kernels the event stream — order, cycles, paths and
+// latencies — equals the oracle's, and the compiled kernel fuses
+// nothing while traced.
+func TestTracedEventOrderIdentical(t *testing.T) {
+	cases := 0
+	for seed := uint64(1); cases < 5; seed++ {
+		tr := Generate(seed*7919, coherence.MESIF)
+		if len(tr.Threads) < 2 || tr.ops() < 50 {
+			continue // want interleaved threads
 		}
-		if events != 2 {
-			t.Fatalf("mode %s: %d trace events, want 2", mode, events)
+		cases++
+		tr.Traced = true
+		if mm := Compare(tr); mm != nil {
+			t.Fatalf("seed %#x: %v", tr.Seed, mm)
 		}
-		if mode == machine.KernelCompiled && k.Stream.FallbackPrograms != 1 {
-			t.Fatalf("traced compiled run: FallbackPrograms = %d, want 1", k.Stream.FallbackPrograms)
+		ro := Run(tr, Oracle)
+		if uint64(len(ro.Events)) != tr.ops() {
+			t.Fatalf("seed %#x: oracle saw %d events for %d ops", tr.Seed, len(ro.Events), tr.ops())
+		}
+		if rc := Run(tr, machine.KernelCompiled); rc.Stream.CompiledOps != 0 {
+			t.Fatalf("seed %#x: traced compiled run fused %d ops", tr.Seed, rc.Stream.CompiledOps)
 		}
 	}
-	_ = tr
+}
+
+// TestStopMatchesOracle stops an endless stream from another thread.
+// Under the interp kernel the stream must end at the same slot as the
+// oracle loop: same operation count (an op counts once its access
+// completes, before its think) and same machine state. Under the
+// compiled kernel the machine state must match too; a fused op is
+// counted when issued, so a stop landing inside its latency leaves the
+// count at most one ahead.
+func TestStopMatchesOracle(t *testing.T) {
+	run := func(executor string, stopAt sim.Cycles) (uint64, string) {
+		w := sim.NewWorld(sim.Config{Seed: 3})
+		cfg := machine.DefaultConfig()
+		if executor != Oracle {
+			cfg.Kernel = executor
+		}
+		m := machine.New(w, cfg)
+		k := kernel.New(m, 0)
+		p := k.NewProcess("p")
+		va := p.MustMmap(4)
+		var ops uint64
+		var victim *kernel.Thread
+		if executor == Oracle {
+			victim = k.Spawn(p, 3, "v", func(kt *kernel.Thread) {
+				for i := uint64(0); ; i++ {
+					kt.Store(va + i%256*64)
+					ops++
+					kt.Advance(7)
+				}
+			})
+		} else {
+			i := uint64(0)
+			victim = k.SpawnStream(p, 3, "v", func(prog *kernel.Program) bool {
+				for n := 0; n < 5; n++ {
+					prog.Store(va+i%256*64, 7)
+					i++
+				}
+				return true
+			}, &ops)
+		}
+		k.Spawn(p, 0, "killer", func(kt *kernel.Thread) {
+			kt.Advance(stopAt)
+			w.StopThread(victim.Sim)
+		})
+		if err := w.RunUntilDeadline(stopAt+1000, nil); err != nil {
+			t.Fatal(err)
+		}
+		w.Drain()
+		return ops, m.StateDigest()
+	}
+	for _, stopAt := range []sim.Cycles{1, 500, 4321, 20000} {
+		wantOps, wantDigest := run(Oracle, stopAt)
+		for _, kern := range []string{machine.KernelInterp, machine.KernelCompiled} {
+			ops, digest := run(kern, stopAt)
+			early := uint64(0)
+			if kern == machine.KernelCompiled && ops == wantOps+1 {
+				early = 1
+			}
+			if ops != wantOps+early || digest != wantDigest {
+				t.Fatalf("stop at %d, %s: %d ops (digest %s), oracle %d ops (digest %s)",
+					stopAt, kern, ops, digest, wantOps, wantDigest)
+			}
+		}
+	}
 }
 
 // TestShrinkPreservesPassing confirms Shrink is the identity on a

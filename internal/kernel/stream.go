@@ -7,18 +7,21 @@ import (
 	"coherentleak/internal/sim"
 )
 
-// This file implements the compiled access-stream kernel: a trace
-// pre-pass flattens a thread's straight-line run of memory operations
-// into a Program — a preflattened op array with pre-drawn addresses and
-// cached virtual-to-physical translations — which Exec then drives in a
-// tight loop. Two execution strategies share the Program representation:
+// This file implements the access-stream executor. A stream is a kernel
+// thread that owns no goroutine (a sim stepped thread): its refill
+// callback, a generator, flattens the next straight-line run of memory
+// operations into a Program — a preflattened op array with pre-drawn
+// addresses and cached virtual-to-physical translations — and the
+// executor steps through it one scheduling slot at a time. Per
+// operation it performs the machine work untimed (machine.LoadTimed and
+// friends), then advances by the latency, then by the COW FaultLatency if
+// the store faulted, then counts the op, then advances by the think time:
+// exactly the slots of a hand-written thread body issuing kernel.Thread
+// Load/Store/Flush and Advance(think). Two policies decide how those
+// slots are scheduled:
 //
-//   - interp (the reference): each operation is a kernel.Thread
-//     Load/Store/Flush followed by a separate think-time Advance,
-//     exactly as a hand-written thread body would issue it.
-//   - compiled: each operation performs its machine work untimed
-//     (machine.LoadTimed and friends) and fuses the service latency and
-//     think time into one scheduler Advance.
+//   - interp (the reference): every advance is its own scheduling point.
+//   - compiled: the latency and think advances fuse into one.
 //
 // The two are bit-identical by contract. The argument, op by op: the
 // machine work runs at the same thread-local time T in both modes
@@ -33,10 +36,13 @@ import (
 // machine work — runs in between, and the deadline comparison is
 // checked explicitly against the fuse horizon. Whenever the proof
 // obligation fails — an opaque RunUntil predicate, an attached trace
-// observer (whose events must arrive in cycle order), a stale
-// translation, a store that must take a COW fault — the executor
-// disengages to the interpreted path for the operation or the whole
-// program, and counts the fallback.
+// observer (whose event is due at the intermediate slot, in cycle
+// order), a deadline or cycle-limit crossing, a zero think time, a store
+// that takes the COW fault — the op keeps the split slots, and is
+// counted as unfused.
+//
+// The goroutine-loop oracle the executor is checked against lives in
+// internal/kernel/difftest.
 
 // OpKind is the operation selector of one Program slot.
 type OpKind uint8
@@ -44,7 +50,7 @@ type OpKind uint8
 const (
 	// OpLoad is a timed read.
 	OpLoad OpKind = iota
-	// OpStore is a timed write (COW faults are honoured by fallback).
+	// OpStore is a timed write (COW faults take the faulting path).
 	OpStore
 	// OpFlush is a clflush of the address's line.
 	OpFlush
@@ -71,11 +77,11 @@ type StreamOp struct {
 	Think sim.Cycles
 }
 
-// Program is a straight-line run of operations produced by a trace
-// pre-pass. It caches each operation's physical translation against the
+// Program is a straight-line run of operations produced by a stream's
+// refill. It caches each operation's physical translation against the
 // kernel's mapping epoch, so steady-state execution performs no page
 // table walks; any mapping mutation anywhere in the kernel invalidates
-// the cache and the next Exec re-resolves it.
+// the cache and the next issued operation re-resolves it.
 type Program struct {
 	proc *Process
 	ops  []StreamOp
@@ -90,27 +96,13 @@ type Program struct {
 	resolved   bool
 }
 
-// NewProgram returns an empty program for proc's address space with
-// capacity for n operations.
-func NewProgram(proc *Process, n int) *Program {
-	return &Program{
-		proc: proc,
-		ops:  make([]StreamOp, 0, n),
-		pa:   make([]uint64, 0, n),
-		ok:   make([]bool, 0, n),
-	}
-}
-
-// Reset empties the program for rebuilding, keeping its buffers.
-func (p *Program) Reset() {
+// reset empties the program for refilling, keeping its buffers.
+func (p *Program) reset() {
 	p.ops = p.ops[:0]
 	p.pa = p.pa[:0]
 	p.ok = p.ok[:0]
 	p.resolved = false
 }
-
-// Len returns the operation count.
-func (p *Program) Len() int { return len(p.ops) }
 
 // Load appends a read of va followed by think cycles.
 func (p *Program) Load(va uint64, think sim.Cycles) { p.add(OpLoad, va, think) }
@@ -147,153 +139,163 @@ func (p *Program) resolve(epoch uint64) {
 // StreamStats counts access-stream executor activity for one kernel.
 // All counters are cumulative across programs and threads.
 type StreamStats struct {
-	// CompiledOps counts operations executed on the fused fast path.
-	CompiledOps uint64
-	// InterpOps counts operations executed by the reference interpreter
-	// (the interp kernel, per-op fallbacks, and fallback programs).
+	// InterpOps counts operations executed under the interp kernel.
 	InterpOps uint64
-	// UnfusedOps counts compiled-path operations that split their
-	// advance to mirror the interpreter exactly (deadline or cycle-limit
-	// crossings, zero-think tails).
+	// CompiledOps counts compiled-kernel operations whose latency and
+	// think advances were fused.
+	CompiledOps uint64
+	// UnfusedOps counts compiled-kernel operations that kept the split
+	// slots because the fusion proof did not hold.
 	UnfusedOps uint64
-	// FallbackPrograms counts Exec calls that disengaged the compiled
-	// path entirely: an opaque stop predicate or an attached tracer.
-	FallbackPrograms uint64
-	// FallbackOps counts compiled-path operations interpreted
-	// individually: stale translations that resolve to faulting stores
-	// or unmapped addresses.
+	// FallbackOps counts operations (under either kernel) that missed the
+	// translation cache and took the per-op faulting path: stores through
+	// read-only (COW/KSM) mappings and unmapped addresses.
 	FallbackOps uint64
 }
 
-// Exec runs the program to completion on t, honouring a pending stop
-// request before every operation exactly like a hand-written loop. It
-// returns the number of operations completed (less than p.Len only when
-// stopped). opsCounter, when non-nil, is incremented after each
-// operation's access completes and before its think advance — the
-// accounting point hand-written workloads use — so externally observed
-// counts match the interpreter even if the thread is killed mid-think.
-func (t *Thread) Exec(p *Program, opsCounter *uint64) int {
-	if t.kern.mach.Config().CompiledKernel() {
-		return t.execCompiled(p, opsCounter)
-	}
-	return t.execInterp(p, opsCounter, &t.kern.Stream.InterpOps)
+// streamSlot is the scheduling slot a stream resumes in.
+type streamSlot uint8
+
+const (
+	slotIssue   streamSlot = iota // issue op i
+	slotLatency                   // op i's latency has elapsed
+	slotFault                     // op i's COW fault latency has elapsed
+)
+
+// stream is the executor state of one access stream.
+type stream struct {
+	t        *Thread
+	prog     *Program
+	refill   func(*Program) bool
+	ops      *uint64
+	compiled bool
+
+	i    int        // the op in flight, or the next to issue
+	slot streamSlot // where the next step resumes
+	// The in-flight op's physical address, access outcome and whether
+	// its store took a COW fault.
+	pa      uint64
+	acc     machine.Access
+	faulted bool
 }
 
-// execInterp is the reference executor: per-op timed machine calls with
-// a separate think advance, byte-for-byte the schedule a hand-written
-// thread body produces.
-func (t *Thread) execInterp(p *Program, opsCounter *uint64, opCtr *uint64) int {
-	for i := range p.ops {
-		if t.Sim.StopRequested() {
-			return i
-		}
-		op := &p.ops[i]
-		switch op.Kind {
-		case OpLoad:
-			t.Load(op.VA)
-		case OpStore:
-			t.Store(op.VA)
-		case OpFlush:
-			t.Flush(op.VA)
-		}
-		*opCtr++
-		if opsCounter != nil {
-			*opsCounter++
-		}
-		if op.Think > 0 {
-			t.Sim.Advance(op.Think)
-		}
+// SpawnStream creates a thread of proc pinned to global core id that
+// executes an access stream and owns no goroutine. Whenever its current
+// program is exhausted it calls refill with the emptied program to
+// append the next operations; refill returns false to end the thread.
+// ops, when non-nil, is incremented after each operation's access
+// completes and before its think advance — the accounting point
+// hand-written workloads use — so externally observed counts match a
+// hand-written loop even if the thread is stopped mid-think (a fused op
+// is counted when issued, so under the compiled schedule a stop that
+// lands inside its latency leaves the count one ahead). The machine
+// config's Kernel selects the interp or compiled schedule. A pending
+// stop ends the stream at its next scheduling slot.
+func (k *Kernel) SpawnStream(proc *Process, core int, name string, refill func(*Program) bool, ops *uint64) *Thread {
+	t := k.newThread(proc, core, name)
+	s := &stream{
+		t:        t,
+		prog:     &Program{proc: proc},
+		refill:   refill,
+		ops:      ops,
+		compiled: k.mach.Config().CompiledKernel(),
 	}
-	return len(p.ops)
+	t.Sim = k.world.SpawnStep(t.simName(name), s.step)
+	return t
 }
 
-// execCompiled is the fused fast path. Per operation it performs the
-// machine work untimed, then advances once by latency+think when the
-// fusion proof holds, or splits the advance (counted) when it does not.
-func (t *Thread) execCompiled(p *Program, opsCounter *uint64) int {
-	st := &t.kern.Stream
-	world := t.kern.world
-	mach := t.kern.mach
-	if _, fuseOK := world.FuseHorizon(); !fuseOK || mach.Traced() {
-		// Opaque stop predicate (could read the clock) or a tracer that
-		// needs cycle-ordered events: the whole program interprets.
-		st.FallbackPrograms++
-		return t.execInterp(p, opsCounter, &st.InterpOps)
-	}
-	if !p.resolved || p.resolvedAt != t.kern.mapEpoch {
-		p.resolve(t.kern.mapEpoch)
-	}
-	limit := world.CycleLimit()
-	sim := t.Sim
-	core := t.CoreID
-	for i := range p.ops {
-		if sim.StopRequested() {
-			return i
+// step runs one scheduling slot of the stream.
+func (s *stream) step(*sim.Thread) (sim.Cycles, bool) {
+	p := s.prog
+	for {
+		switch s.slot {
+		case slotIssue:
+			if s.i == len(p.ops) {
+				p.reset()
+				if !s.refill(p) {
+					return 0, true
+				}
+				s.i = 0
+				continue
+			}
+			return s.issue()
+		case slotLatency:
+			if mach := s.t.kern.mach; mach.Traced() {
+				mach.Observe(s.t.Sim, s.t.CoreID, s.pa, p.ops[s.i].Kind.String(), s.acc)
+			}
+			if s.faulted {
+				s.slot = slotFault
+				return s.t.kern.FaultLatency, false
+			}
 		}
-		// Mappings move only while this thread is parked inside an
-		// Advance; re-check the epoch after every operation that could
-		// have yielded. A cheap equality test keeps the loop tight.
-		if p.resolvedAt != t.kern.mapEpoch {
-			p.resolve(t.kern.mapEpoch)
-		}
-		op := &p.ops[i]
-		if !p.ok[i] {
-			// Unmapped (will segfault identically) or a store that must
-			// take the COW faulting path: interpret this op.
-			st.FallbackOps++
+		// The op's access is complete: count it, then think.
+		st := &s.t.kern.Stream
+		if s.compiled {
+			st.UnfusedOps++
+		} else {
 			st.InterpOps++
-			switch op.Kind {
-			case OpLoad:
-				t.Load(op.VA)
-			case OpStore:
-				t.Store(op.VA)
-			case OpFlush:
-				t.Flush(op.VA)
-			}
-			if opsCounter != nil {
-				*opsCounter++
-			}
-			if op.Think > 0 {
-				sim.Advance(op.Think)
-			}
-			continue
 		}
-		var a machine.Access
-		switch op.Kind {
-		case OpLoad:
-			a = mach.LoadTimed(sim, core, p.pa[i])
-		case OpStore:
-			a = mach.StoreTimed(sim, core, p.pa[i])
-		case OpFlush:
-			a = mach.FlushTimed(sim, core, p.pa[i])
+		if s.ops != nil {
+			*s.ops++
 		}
-		now := sim.Now()
-		total := a.Latency + op.Think
-		// Fuse when the interpreter's intermediate scheduling point at
-		// now+latency is unobservable: below the drive's stop horizon
-		// and, with a cycle limit, not past it (the limit is checked at
-		// every advance, so a split mirrors the abort time exactly).
-		// The horizon is re-read per op: an advance can park the thread
-		// across the end of one drive and into another with a different
-		// stop structure.
-		deadline, fuseOK := world.FuseHorizon()
-		if fuseOK && op.Think > 0 && now+a.Latency <= deadline &&
-			(limit == 0 || now+total <= limit) {
-			st.CompiledOps++
-			if opsCounter != nil {
-				*opsCounter++
-			}
-			sim.Advance(total)
-			continue
-		}
-		st.UnfusedOps++
-		sim.Advance(a.Latency)
-		if opsCounter != nil {
-			*opsCounter++
-		}
-		if op.Think > 0 {
-			sim.Advance(op.Think)
+		think := p.ops[s.i].Think
+		s.i++
+		s.slot = slotIssue
+		if think > 0 {
+			return think, false
 		}
 	}
-	return len(p.ops)
+}
+
+// issue performs op i's machine work at the thread's current time and
+// returns the first advance: the latency alone, or — when the compiled
+// schedule may fuse — latency plus think, with the op already counted.
+func (s *stream) issue() (sim.Cycles, bool) {
+	t, k, p := s.t, s.t.kern, s.prog
+	if !p.resolved || p.resolvedAt != k.mapEpoch {
+		p.resolve(k.mapEpoch)
+	}
+	op := &p.ops[s.i]
+	if p.ok[s.i] {
+		s.pa, s.faulted = p.pa[s.i], false
+	} else {
+		// Unmapped (segfaults exactly as Thread.Load would) or a store
+		// that must take the COW faulting path.
+		k.Stream.FallbackOps++
+		if op.Kind == OpStore {
+			s.pa, s.faulted = t.storeTarget(op.VA)
+		} else {
+			s.pa, s.faulted = t.translate(op.VA), false
+		}
+	}
+	mach := k.mach
+	switch op.Kind {
+	case OpLoad:
+		s.acc = mach.LoadTimed(t.Sim, t.CoreID, s.pa)
+	case OpStore:
+		s.acc = mach.StoreTimed(t.Sim, t.CoreID, s.pa)
+	case OpFlush:
+		s.acc = mach.FlushTimed(t.Sim, t.CoreID, s.pa)
+	}
+	// Fuse when the split schedule's intermediate slot at now+latency is
+	// unobservable: below the drive's stop horizon and, with a cycle
+	// limit, not past it (the limit is checked at every advance, so a
+	// split mirrors the abort time exactly). The horizon is re-read per
+	// op: a stream can park across the end of one drive and into another
+	// with a different stop structure.
+	if s.compiled && !s.faulted && op.Think > 0 && !mach.Traced() {
+		world := k.world
+		now, total := t.Sim.Now(), s.acc.Latency+op.Think
+		if deadline, ok := world.FuseHorizon(); ok && now+s.acc.Latency <= deadline &&
+			(world.CycleLimit() == 0 || now+total <= world.CycleLimit()) {
+			k.Stream.CompiledOps++
+			if s.ops != nil {
+				*s.ops++
+			}
+			s.i++
+			return total, false
+		}
+	}
+	s.slot = slotLatency
+	return s.acc.Latency, false
 }

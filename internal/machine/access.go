@@ -32,15 +32,13 @@ func (m *Machine) Load(t *sim.Thread, g int, addr uint64) Access {
 // LoadTimed is Load without the clock advance: it performs the full
 // access (state changes, RNG draws, stats) at the thread's current time
 // and returns the latency for the caller to account. It exists for the
-// compiled access-stream executor, which fuses the advance with the
-// op's think time; interleaving LoadTimed with other threads' work
-// before advancing breaks the determinism contract.
+// stepped access-stream executor, which advances the thread itself; it
+// emits no observer event either — the caller reports the completed
+// access with Observe once its clock has reached the completion time,
+// which keeps events in cycle order. Interleaving LoadTimed with other
+// threads' work before advancing breaks the determinism contract.
 func (m *Machine) LoadTimed(t *sim.Thread, g int, addr uint64) Access {
-	a := m.load(t, g, addr)
-	if m.onAccess != nil {
-		m.emit(t.Now()+a.Latency, t, g, addr, "load", a)
-	}
-	return a
+	return m.load(t, g, addr)
 }
 
 func (m *Machine) load(t *sim.Thread, g int, addr uint64) Access {
@@ -440,11 +438,7 @@ func (m *Machine) Store(t *sim.Thread, g int, addr uint64) Access {
 
 // StoreTimed is Store without the clock advance; see LoadTimed.
 func (m *Machine) StoreTimed(t *sim.Thread, g int, addr uint64) Access {
-	a := m.store(t, g, addr)
-	if m.onAccess != nil {
-		m.emit(t.Now()+a.Latency, t, g, addr, "store", a)
-	}
-	return a
+	return m.store(t, g, addr)
 }
 
 func (m *Machine) store(t *sim.Thread, g int, addr uint64) Access {
@@ -584,11 +578,7 @@ func (m *Machine) Flush(t *sim.Thread, g int, addr uint64) Access {
 
 // FlushTimed is Flush without the clock advance; see LoadTimed.
 func (m *Machine) FlushTimed(t *sim.Thread, g int, addr uint64) Access {
-	a := m.flushLine(t, g, addr)
-	if m.onAccess != nil {
-		m.emit(t.Now()+a.Latency, t, g, addr, "flush", a)
-	}
-	return a
+	return m.flushLine(t, g, addr)
 }
 
 func (m *Machine) flushLine(t *sim.Thread, g int, addr uint64) Access {
@@ -700,10 +690,17 @@ func (s *MachineStats) String() string {
 	return out
 }
 
+// Observe reports an access performed with LoadTimed, StoreTimed or
+// FlushTimed (op "load", "store" or "flush") to the observer hook, at the
+// thread's current time. Call it once the thread's clock has advanced by
+// the access latency, the point at which Load, Store and Flush emit.
+func (m *Machine) Observe(t *sim.Thread, g int, addr uint64, op string, a Access) {
+	m.emit(t.Now(), t, g, addr, op, a)
+}
+
 // emit delivers one completed operation to the observer hook. Callers
 // guard on m.onAccess != nil so untraced runs skip event assembly and the
-// call entirely; at is the operation's completion time (identical whether
-// the thread clock was advanced by the machine or by a batching caller).
+// call entirely; at is the operation's completion time.
 func (m *Machine) emit(at sim.Cycles, t *sim.Thread, g int, addr uint64, op string, a Access) {
 	if m.onAccess == nil {
 		return

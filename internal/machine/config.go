@@ -165,11 +165,11 @@ type Config struct {
 	Latencies Latencies
 	// Mitigations are defensive options, normally all off.
 	Mitigations Mitigations
-	// Kernel selects the sim-kernel execution strategy for access-stream
-	// programs: "interp" (or empty, the reference interpreter) runs one
-	// timed operation per scheduler step; "compiled" batches straight-
-	// line runs through the preflattened fast path (see
-	// kernel.ExecMode). The two are bit-identical by contract — the
+	// Kernel selects how access streams (kernel.SpawnStream) schedule
+	// their slots: "interp" (or empty, the reference) gives each advance
+	// of an operation its own scheduling slot; "compiled" fuses an
+	// operation's latency and think advances where that is provably
+	// unobservable. The two are bit-identical by contract — the
 	// differential harness in internal/kernel/difftest enforces it — so
 	// the field is excluded from the JSON config digest and cached cell
 	// outputs are shared between kernels.

@@ -126,8 +126,9 @@ func (m *Machine) SetAccessObserver(fn func(AccessEvent)) { m.onAccess = fn }
 
 // Traced reports whether an access observer is attached. Batching
 // executors consult it: the observer contract delivers events in
-// non-decreasing cycle order, which the fused fast path cannot
-// guarantee, so traced runs take the per-operation path.
+// non-decreasing cycle order, so a traced access must be reported from
+// its own scheduling slot at the completion time (see Observe), which
+// rules out fusing its latency with the next advance.
 func (m *Machine) Traced() bool { return m.onAccess != nil }
 
 // lineMeta consolidates the per-line bookkeeping of the probe-pressure

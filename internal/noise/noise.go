@@ -7,6 +7,10 @@
 // which is exactly how the paper's noise degrades the covert channel:
 // "kernel-build processes saturate the internal bus (L2-LLC)
 // bandwidths" and perturb E-state load latencies.
+//
+// Each noise thread is a kernel access stream (Kernel.SpawnStream): a
+// generator that flattens one phase at a time into a Program, executed
+// without a goroutine of its own.
 package noise
 
 import (
@@ -87,17 +91,15 @@ func Attach(kern *kernel.Kernel, cfg Config) (*Workload, error) {
 	}
 	rng := sim.NewRand(cfg.Seed)
 	cores := spreadCores(kern, cfg.Threads)
+	lines := uint64(cfg.WorkingSetPages) * kernel.PageSize / 64
 	for i := 0; i < cfg.Threads; i++ {
 		va, err := w.proc.Mmap(cfg.WorkingSetPages)
 		if err != nil {
 			return nil, err
 		}
-		tRng := rng.Split()
+		g := &generator{cfg: &w.cfg, base: va, lines: lines, rng: rng.Split()}
 		name := fmt.Sprintf("cc%d", i)
-		th := kern.Spawn(w.proc, cores[i], name, func(kt *kernel.Thread) {
-			w.run(kt, va, tRng)
-		})
-		w.threads = append(w.threads, th)
+		w.threads = append(w.threads, kern.SpawnStream(w.proc, cores[i], name, g.refill, &w.Ops))
 	}
 	return w, nil
 }
@@ -147,46 +149,43 @@ func CoLocationPressure(kern *kernel.Kernel, threads int) float64 {
 	return 0.45 * float64(over)
 }
 
-// run is one thread's phase loop. A pre-pass flattens each phase's
-// straight-line run of accesses into a Program — drawing the phase's
-// addresses from the thread's private rng in exactly the order the
-// hand-written loop did — and Exec drives it with whichever kernel the
-// machine config selects. Address generation is untimed either way, so
-// moving the draws into the pre-pass changes no simulated behaviour.
-func (w *Workload) run(kt *kernel.Thread, base uint64, rng *sim.Rand) {
-	setBytes := uint64(w.cfg.WorkingSetPages) * kernel.PageSize
-	lines := setBytes / 64
-	ph := phaseScan
-	cursor := uint64(0)
-	prog := kernel.NewProgram(w.proc, w.cfg.OpsPerPhase)
-	for !kt.StopRequested() {
-		prog.Reset()
-		think := w.cfg.ThinkCycles
-		for op := 0; op < w.cfg.OpsPerPhase; op++ {
-			switch ph {
-			case phaseScan:
-				// Streaming read sweep: maximal eviction pressure.
-				prog.Load(base+(cursor%lines)*64, think)
-				cursor += 1
-			case phaseCompile:
-				// Random mixed accesses over a hot subset.
-				off := rng.Uint64n(lines/4) * 64
-				if rng.Bool(0.3) {
-					prog.Store(base+off, think)
-				} else {
-					prog.Load(base+off, think)
-				}
-			case phaseLink:
-				// Large sequential writes.
-				prog.Store(base+(cursor%lines)*64, think)
-				cursor += 8
+// generator is one noise thread's phase loop, turned inside out: each
+// refill flattens the current phase's straight-line run of accesses into
+// the thread's program, drawing the phase's addresses from the thread's
+// private rng, and rotates to the next phase. Address generation is
+// untimed, so when the draws happen changes no simulated behaviour.
+type generator struct {
+	cfg         *Config
+	base, lines uint64
+	rng         *sim.Rand
+	ph          phase
+	cursor      uint64
+}
+
+func (g *generator) refill(prog *kernel.Program) bool {
+	base, lines, think := g.base, g.lines, g.cfg.ThinkCycles
+	for op := 0; op < g.cfg.OpsPerPhase; op++ {
+		switch g.ph {
+		case phaseScan:
+			// Streaming read sweep: maximal eviction pressure.
+			prog.Load(base+(g.cursor%lines)*64, think)
+			g.cursor += 1
+		case phaseCompile:
+			// Random mixed accesses over a hot subset.
+			off := g.rng.Uint64n(lines/4) * 64
+			if g.rng.Bool(0.3) {
+				prog.Store(base+off, think)
+			} else {
+				prog.Load(base+off, think)
 			}
+		case phaseLink:
+			// Large sequential writes.
+			prog.Store(base+(g.cursor%lines)*64, think)
+			g.cursor += 8
 		}
-		if kt.Exec(prog, &w.Ops) < prog.Len() {
-			return
-		}
-		ph = (ph + 1) % phaseCount
 	}
+	g.ph = (g.ph + 1) % phaseCount
+	return true
 }
 
 // Stop terminates all noise threads.

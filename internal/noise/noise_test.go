@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"runtime"
 	"testing"
 
 	"coherentleak/internal/kernel"
@@ -112,5 +113,36 @@ func TestWorkloadDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("runs diverged: %d vs %d ops", a, b)
+	}
+}
+
+// Noise threads are access streams: they own no goroutine, while
+// attached or while running.
+func TestAttachAddsNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := newKern(t)
+	cfg := DefaultConfig(8)
+	cfg.WorkingSetPages = 32
+	w, err := Attach(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("Attach(8) added %d goroutines", n-base)
+	}
+	world := k.World()
+	if err := world.RunUntilDeadline(50_000, nil); err != nil {
+		t.Fatal(err)
+	}
+	if w.Ops == 0 {
+		t.Fatal("noise threads did not run")
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("running 8 noise threads added %d goroutines", n-base)
+	}
+	w.Stop()
+	world.Drain()
+	if world.LiveThreads() != 0 {
+		t.Fatal("Drain left noise threads live")
 	}
 }

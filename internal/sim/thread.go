@@ -1,15 +1,13 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 type threadState int
 
 const (
 	threadReady threadState = iota
 	threadRunning
+	threadStepping // a stepped thread's step is executing
 	threadDone
 )
 
@@ -19,6 +17,8 @@ func (s threadState) String() string {
 		return "ready"
 	case threadRunning:
 		return "running"
+	case threadStepping:
+		return "stepping"
 	case threadDone:
 		return "done"
 	default:
@@ -26,25 +26,26 @@ func (s threadState) String() string {
 	}
 }
 
-// Thread is a simulated hardware thread. Thread bodies run as goroutines
-// but are cooperatively scheduled: exactly one thread executes at a time,
-// and control returns to the World at every Advance call. A thread body
-// must therefore call Advance (directly or through a timed machine
-// operation) inside any loop, or the simulation cannot progress.
+// Thread is a simulated hardware thread. Threads are cooperatively
+// scheduled: exactly one executes at a time. A goroutine thread's body
+// returns control to the World at every Advance call, so it must call
+// Advance (directly or through a timed machine operation) inside any
+// loop, or the simulation cannot progress. A stepped thread returns
+// control at the end of every step.
 type Thread struct {
 	id     int
 	name   string
 	world  *World
 	time   Cycles
-	resume chan struct{}
+	resume chan struct{} // nil for stepped threads
 	state  threadState
 	err    error
 
-	stopRequested bool
+	// step is a stepped thread's step function (nil for goroutine
+	// threads); see World.SpawnStep.
+	step func(*Thread) (Cycles, bool)
 
-	// Tag is free space for the owner of the thread (the kernel layer
-	// stores the owning process and core pinning here).
-	Tag any
+	stopRequested bool
 }
 
 // ID returns the thread's unique id (spawn order).
@@ -79,7 +80,8 @@ func (t *Thread) StopRequested() bool { return t.stopRequested }
 // immediately, so running on is observationally identical and removes
 // the channel park/resume pair from the per-operation cost.
 //
-// Advance panics with an internal sentinel if the thread has been stopped;
+// Advance may only be called from a goroutine thread's body, never from a
+// step. It panics with an internal sentinel if the thread has been stopped;
 // the sentinel is recovered by the thread wrapper, so thread bodies should
 // not recover it themselves (a recover must re-panic values it does not
 // recognize — see run).
@@ -92,20 +94,13 @@ func (t *Thread) Advance(d Cycles) {
 	}
 	t.time += d
 	w := t.world
-	// Inline fast path. The checks mirror one iteration of the central
-	// scheduler loop, in its order: stop predicate, then (time, id)
-	// thread selection, then the cycle limit on the selected thread.
-	if w.running && (w.stopFn == nil || !w.stopFn()) &&
-		(w.cfg.MaxCycles == 0 || t.time <= w.cfg.MaxCycles) {
-		if h := w.peek(); h == nil || t.time < h.time || (t.time == h.time && t.id < h.id) {
-			w.now = t.time
-			return
-		}
+	if w.keepsRunning(t) {
+		return
 	}
 	// Slow path: another thread is due (or the scheduler must observe a
 	// condition). Park and hand control over.
 	t.state = threadReady
-	heap.Push(&w.queue, t)
+	w.queue.push(t)
 	w.transfer(nil)
 	<-t.resume
 	if t.stopRequested {

@@ -7,25 +7,36 @@
 // introduce orders of magnitude more wall-clock noise than that. The kernel
 // therefore runs exactly one simulated thread at a time and orders threads
 // by (virtual time, thread id), so a run is a pure function of its
-// configuration and seed. Simulated threads are real goroutines, but they
-// hand control back to the kernel at every timed operation, so shared
-// state mutated by thread bodies needs no locking.
+// configuration and seed. Shared state mutated by thread bodies needs no
+// locking.
 //
-// Two mechanisms keep that handover off the hot path. A thread whose
-// Advance leaves it the earliest runnable thread simply keeps executing —
-// the scheduler would have re-selected it anyway, so no goroutine switch
-// happens at all. When another thread is due, control transfers directly
-// from the yielding thread's goroutine to the next thread's goroutine;
-// the scheduler goroutine parked in RunUntil wakes only for conditions it
-// must observe (stop predicate, thread failure, cycle limit, all threads
-// finished). Both paths select threads by exactly the same (time, id)
-// ordering as a naive central scheduler loop, so schedules — and
-// therefore every derived artifact — are unchanged.
+// A simulated thread comes in one of two forms. A goroutine thread
+// (Spawn) runs an arbitrary body on its own goroutine and hands control
+// back to the kernel at every Advance; the attack's spy and trojan are
+// written this way. A stepped thread (SpawnStep) owns no goroutine: it is
+// a step function that does one scheduling slot's work and returns how
+// far to advance, and the kernel calls it inline on whichever goroutine
+// holds control. Straight-line access streams such as the noise workload
+// are stepped threads, so a hand-off between two of them is a function
+// call rather than a goroutine switch.
+//
+// Three mechanisms keep the hand-over off the hot path. A thread whose
+// Advance (or step) leaves it the earliest runnable thread simply keeps
+// executing — the scheduler would have re-selected it anyway. When
+// another thread is due, control transfers directly from the yielding
+// thread's goroutine: stepped threads run inline until the next due
+// thread is a goroutine thread, which is then resumed. The scheduler
+// goroutine parked in RunUntil wakes only for conditions it must observe
+// (stop predicate, thread failure, cycle limit, all threads finished).
+// Every path selects threads by exactly the same (time, id) ordering, and
+// applies the same checks in the same order, as a naive central
+// scheduler loop, so schedules — and therefore every derived artifact —
+// do not depend on which form a thread takes.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"runtime"
 	"sort"
 )
 
@@ -58,7 +69,7 @@ type Config struct {
 
 // World is the simulation kernel: it owns the virtual clock and schedules
 // simulated threads deterministically. Create one with NewWorld, add
-// threads with Spawn, then drive them with Run or RunUntil.
+// threads with Spawn or SpawnStep, then drive them with Run or RunUntil.
 type World struct {
 	cfg      Config
 	rand     *Rand
@@ -83,7 +94,19 @@ type World struct {
 	// NoDeadline), cleared for opaque RunUntil predicates.
 	fuseSafe     bool
 	fuseDeadline Cycles
+
+	// steps counts steps of stepped threads, for stepsPerGosched.
+	steps uint64
 }
+
+// stepsPerGosched paces the yields of a run of stepped threads to the Go
+// scheduler. Such a run never blocks, unlike goroutine threads, which
+// park on every hand-off; without a yield, a garbage-collection cycle
+// that starts during it waits for preemption to get its mark worker onto
+// the processor, everything allocated meanwhile is marked live, and the
+// next heap goal — and with it peak memory — grows. Yielding does not
+// affect the simulation: no other thread of this world can run.
+const stepsPerGosched = 1024
 
 // NewWorld returns an empty world.
 func NewWorld(cfg Config) *World {
@@ -124,8 +147,31 @@ func (w *World) Spawn(name string, fn func(*Thread)) *Thread {
 	}
 	w.nextID++
 	w.threads = append(w.threads, t)
-	heap.Push(&w.queue, t)
+	w.queue.push(t)
 	go t.run(fn)
+	return t
+}
+
+// SpawnStep creates a stepped thread named name. It owns no goroutine:
+// each time the scheduler selects it, step runs inline with the thread's
+// clock at the slot's time, does that slot's work, and returns either
+// the cycles to advance (the equivalent of ending the slot with
+// Advance(d)) or done to finish the thread without advancing. A step
+// must not call Advance; a panic in step fails the run exactly like a
+// panic in a goroutine thread's body. A stepped thread with a pending
+// stop finishes when next selected, without stepping.
+func (w *World) SpawnStep(name string, step func(*Thread) (d Cycles, done bool)) *Thread {
+	t := &Thread{
+		id:    w.nextID,
+		name:  name,
+		world: w,
+		time:  w.now,
+		state: threadReady,
+		step:  step,
+	}
+	w.nextID++
+	w.threads = append(w.threads, t)
+	w.queue.push(t)
 	return t
 }
 
@@ -144,7 +190,7 @@ func (w *World) Run() error {
 // thread steps), every thread finishes, or the cycle limit is exceeded.
 //
 // The predicate is opaque: it may read the virtual clock, so batching
-// executors (kernel.Thread.Exec) must fall back to per-operation
+// executors (the kernel's access streams) must fall back to per-operation
 // scheduling while such a drive is active. Drives whose only time
 // dependence is a deadline should use RunUntilDeadline instead, which
 // exposes the structure and keeps the fused fast path engaged.
@@ -210,10 +256,16 @@ func (w *World) runLoop(stop func() bool) error {
 		if w.cfg.MaxCycles != 0 && t.time > w.cfg.MaxCycles {
 			// Requeue the over-limit thread so a subsequent Drain can
 			// unwind it instead of leaking its goroutine.
-			heap.Push(&w.queue, t)
+			w.queue.push(t)
 			return ErrDeadlock{At: w.cfg.MaxCycles}
 		}
 		w.now = t.time
+		if t.step != nil {
+			if failed := w.runStepped(t); failed != nil {
+				panic(failed.err)
+			}
+			continue
+		}
 		t.state = threadRunning
 		t.resume <- struct{}{}
 		// Threads hand off among themselves; the wake below means a
@@ -230,57 +282,106 @@ func (w *World) runLoop(stop func() bool) error {
 
 // transfer hands control to the next runnable thread directly, or wakes
 // the scheduler goroutine when it must observe a condition (thread
-// failure, stop predicate, empty queue, cycle limit). It is called on
-// the goroutine of a thread that has just parked or finished; exactly
-// one simulated thread executes at any time, so mutating scheduler
-// state here is race-free.
+// failure, stop predicate, empty queue, cycle limit). Stepped threads
+// due next run inline here, until the next due thread is a goroutine
+// thread (which is resumed) or a condition needs the scheduler. It is
+// called on the goroutine of a thread that has just parked or finished;
+// exactly one simulated thread executes at any time, so mutating
+// scheduler state here is race-free.
 func (w *World) transfer(failed *Thread) {
-	if failed != nil && !w.draining {
-		w.failed = failed
-		w.yield <- struct{}{}
+	for {
+		if failed != nil && !w.draining {
+			w.failed = failed
+			w.yield <- struct{}{}
+			return
+		}
+		if w.stopFn != nil && w.stopFn() {
+			w.yield <- struct{}{}
+			return
+		}
+		next := w.nextRunnable()
+		if next == nil {
+			w.yield <- struct{}{}
+			return
+		}
+		if !w.draining && w.cfg.MaxCycles != 0 && next.time > w.cfg.MaxCycles {
+			// Put the over-limit thread back; the scheduler re-pops it
+			// and reports ErrDeadlock, exactly as the central loop did.
+			w.queue.push(next)
+			w.yield <- struct{}{}
+			return
+		}
+		w.now = next.time
+		if next.step != nil {
+			failed = w.runStepped(next)
+			continue
+		}
+		next.state = threadRunning
+		next.resume <- struct{}{}
 		return
 	}
-	if w.stopFn != nil && w.stopFn() {
-		w.yield <- struct{}{}
-		return
-	}
-	next := w.nextRunnable()
-	if next == nil {
-		w.yield <- struct{}{}
-		return
-	}
-	if !w.draining && w.cfg.MaxCycles != 0 && next.time > w.cfg.MaxCycles {
-		// Put the over-limit thread back; the scheduler re-pops it and
-		// reports ErrDeadlock, exactly as the central loop did.
-		heap.Push(&w.queue, next)
-		w.yield <- struct{}{}
-		return
-	}
-	w.now = next.time
-	next.state = threadRunning
-	next.resume <- struct{}{}
 }
 
-// nextRunnable pops the ready thread with the smallest (time, id).
+// runStepped runs the selected stepped thread t inline, step after step,
+// for as long as the inline fast path would keep a goroutine thread
+// running; then it requeues t, or marks it done. Between steps it applies
+// Advance's checks in Advance's order. It returns t if a step panicked,
+// with the panic recorded as t.err, so the caller fails the run exactly
+// as for a goroutine thread whose body panicked.
+func (w *World) runStepped(t *Thread) (failed *Thread) {
+	if t.stopRequested {
+		t.state = threadDone
+		return nil
+	}
+	t.state = threadStepping
+	defer func() {
+		if r := recover(); r != nil {
+			t.err = fmt.Errorf("sim: thread %q panicked: %v", t.name, r)
+			t.state = threadDone
+			failed = t
+		}
+	}()
+	for {
+		if w.steps++; w.steps%stepsPerGosched == 0 {
+			runtime.Gosched()
+		}
+		d, done := t.step(t)
+		if done || t.stopRequested {
+			t.state = threadDone
+			return nil
+		}
+		t.time += d
+		if !w.keepsRunning(t) {
+			t.state = threadReady
+			w.queue.push(t)
+			return nil
+		}
+	}
+}
+
+// keepsRunning is the inline fast path shared by Advance and stepped
+// threads: it reports whether t, whose clock has just advanced, would be
+// re-selected at once by the central scheduler loop, and if so makes its
+// time the global time. The checks mirror one iteration of that loop, in
+// its order: stop predicate, then (time, id) thread selection, then the
+// cycle limit on the selected thread.
+func (w *World) keepsRunning(t *Thread) bool {
+	if w.running && (w.stopFn == nil || !w.stopFn()) &&
+		(w.cfg.MaxCycles == 0 || t.time <= w.cfg.MaxCycles) &&
+		(len(w.queue) == 0 || t.before(w.queue[0])) {
+		w.now = t.time
+		return true
+	}
+	return false
+}
+
+// nextRunnable pops the ready thread with the smallest (time, id), or
+// returns nil when none is ready.
 func (w *World) nextRunnable() *Thread {
-	for w.queue.Len() > 0 {
-		t := heap.Pop(&w.queue).(*Thread)
-		if t.state == threadReady {
-			return t
-		}
+	if len(w.queue) == 0 {
+		return nil
 	}
-	return nil
-}
-
-// peek returns the earliest ready thread without removing it, or nil.
-func (w *World) peek() *Thread {
-	for len(w.queue) > 0 {
-		if t := w.queue[0]; t.state == threadReady {
-			return t
-		}
-		heap.Pop(&w.queue) // stale entry; queue normally holds only ready threads
-	}
-	return nil
+	return w.queue.pop()
 }
 
 // StopThread asks a thread to terminate. The thread unwinds the next time
@@ -301,7 +402,7 @@ func (w *World) Shutdown() {
 
 // Drain stops every thread and schedules until all have unwound. Call it
 // after RunUntil returns with live threads, so their goroutines exit
-// before the world is dropped.
+// before the world is dropped. Stepped threads are simply marked done.
 func (w *World) Drain() {
 	w.Shutdown()
 	w.draining = true
@@ -310,6 +411,10 @@ func (w *World) Drain() {
 		t := w.nextRunnable()
 		if t == nil {
 			return
+		}
+		if t.step != nil {
+			t.state = threadDone
+			continue
 		}
 		t.state = threadRunning
 		t.resume <- struct{}{}
@@ -340,24 +445,58 @@ func (w *World) Snapshot() string {
 	return s
 }
 
-// threadQueue is a min-heap ordered by (time, id). Ordering by id second
-// makes scheduling fully deterministic when threads share a timestamp.
+// threadQueue is a binary min-heap ordered by (time, id). Ordering by id
+// second makes scheduling fully deterministic when threads share a
+// timestamp; since (time, id) is a strict total order, the pop sequence
+// is the same for any correct heap. It holds exactly the ready threads:
+// a thread is pushed when it becomes ready and changes state only after
+// it has been popped.
 type threadQueue []*Thread
 
-func (q threadQueue) Len() int { return len(q) }
-func (q threadQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].id < q[j].id
+// before reports whether t sorts ahead of u in (time, id) order.
+func (t *Thread) before(u *Thread) bool {
+	return t.time < u.time || (t.time == u.time && t.id < u.id)
 }
-func (q threadQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *threadQueue) Push(x any)   { *q = append(*q, x.(*Thread)) }
-func (q *threadQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return t
+
+func (q *threadQueue) push(t *Thread) {
+	h := append(*q, t)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = t
+	*q = h
+}
+
+func (q *threadQueue) pop() *Thread {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
