@@ -8,7 +8,7 @@ GO ?= go
 # Worker count for test-dispatch and run-workers.
 N ?= 4
 
-.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke results-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci run-daemon run-workers
+.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke restart-smoke results-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci run-daemon run-workers
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,13 @@ replacement-smoke:
 # harness as a standalone binary for real deployments (BENCH_9.json).
 loadgen-smoke:
 	$(GO) test -count=1 -run TestLoadgenSmoke ./internal/loadgen/
+
+# Daemon-restart smoke: build the real cohsimd, run cold quick lrustate
+# jobs at three seeds, SIGKILL it once they are done (no shutdown save),
+# restart it on the same -out and resubmit: every cell must be cached
+# and every TSV byte-identical. A job reported done is durable.
+restart-smoke:
+	$(GO) test -count=1 -run TestRestartSmoke ./cmd/cohsimd/
 
 # Full-size results smoke: the noise artifacts (fig9, fig10, capacity —
 # the only ones with access-stream threads) at full size with a cold
@@ -131,7 +138,7 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-smoke loadgen-smoke results-smoke
+ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-smoke loadgen-smoke restart-smoke results-smoke
 
 # Start the experiment service daemon on :8080 (state under
 # results-daemon/). See EXPERIMENTS.md for the API walkthrough.

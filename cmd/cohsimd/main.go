@@ -44,9 +44,12 @@
 //	curl localhost:8080/v1/jobs/job-000001/artifacts/table1.tsv
 //	curl localhost:8080/v1/workers                         # fleet state
 //
-// SIGINT/SIGTERM drains gracefully: no new jobs are admitted, queued
-// jobs are shed, in-flight jobs finish (up to -drain-timeout), and the
-// manifest is persisted atomically.
+// With -persist (the default), each job's new cells are appended to
+// <out>/manifest.json.journal and fsynced before the job reports done,
+// so done jobs survive a crash. SIGINT/SIGTERM drains gracefully: no
+// new jobs are admitted, queued jobs are shed, in-flight jobs finish
+// (up to -drain-timeout), and the whole manifest snapshot is written
+// atomically, replacing the journal.
 package main
 
 import (

@@ -15,14 +15,15 @@ const ManifestVersion = store.ManifestVersion
 // ManifestEntry is one cached cell output.
 type ManifestEntry = store.Entry
 
-// Manifest is the in-memory LRU cell store with whole-snapshot
+// Manifest is the in-memory LRU cell store with snapshot + journal
 // persistence (see store.Memory).
 type Manifest = store.Memory
 
 // NewManifest returns an empty manifest.
 func NewManifest() *Manifest { return store.NewMemory() }
 
-// LoadManifest reads a manifest file. A missing file or a version
-// mismatch yields an empty manifest (the cache simply starts cold);
-// unreadable or malformed files are reported as errors.
+// LoadManifest reads a manifest file and replays its journal (see
+// store.LoadMemory). A version mismatch yields an empty manifest (the
+// cache simply starts cold); an unreadable or malformed snapshot is
+// reported as an error.
 func LoadManifest(path string) (*Manifest, error) { return store.LoadMemory(path) }

@@ -36,8 +36,11 @@ type Options struct {
 	BaseConfig *machine.Config
 	// Manifest is the shared cell cache; nil creates an empty one.
 	Manifest *harness.Manifest
-	// ManifestPath, when set, persists the manifest after every job and
-	// on shutdown (atomic temp-file + rename).
+	// ManifestPath, when set, persists the manifest there. After every
+	// job, Manifest.Persist appends the cells the job stored to the
+	// journal beside it (nothing for a fully cached job), so a job
+	// reported done has all its cells on disk; Shutdown writes a whole
+	// snapshot (atomic temp-file + rename) and removes the journal.
 	ManifestPath string
 	// Store, when set, replaces Manifest as the shared cell cache —
 	// typically a store.Disk so several cohsimd replicas pointed at one
@@ -767,9 +770,10 @@ func (s *Service) runJob(j *Job) {
 		report, runErr = runner.Run(tctx, j.Plan, arts)
 	}
 
+	// Persist before the job can report done: done implies durable.
 	if s.opts.ManifestPath != "" {
-		if err := s.opts.Manifest.Save(s.opts.ManifestPath); err != nil {
-			s.logf("%s: manifest save: %v", j.ID, err)
+		if err := s.opts.Manifest.Persist(s.opts.ManifestPath); err != nil {
+			s.logf("%s: manifest persist: %v", j.ID, err)
 		}
 	}
 
