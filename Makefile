@@ -74,20 +74,21 @@ loadgen-smoke:
 restart-smoke:
 	$(GO) test -count=1 -run TestRestartSmoke ./cmd/cohsimd/
 
-# Full-size results smoke: the noise artifacts (fig9, fig10, capacity —
-# the only ones with access-stream threads) at full size with a cold
-# cell cache, once under each access-stream kernel; every TSV must equal
-# the committed one under results/ byte for byte.
+# Full-size results smoke: every artifact with a committed TSV under
+# results/ at full size with a cold cell cache, once under each
+# access-stream kernel; every TSV must equal the committed one byte for
+# byte.
 RESULTS_SMOKE ?= /tmp/cohsim-results-smoke
+RESULTS_ARTIFACTS = table1,fig2,fig6,fig7,fig8,fig9,fig10,fig11,peaks,mitigations,capacity
 results-smoke:
 	$(GO) build -o $(RESULTS_SMOKE)/experiments ./cmd/experiments
 	set -e; for k in interp compiled; do \
 		rm -rf $(RESULTS_SMOKE)/$$k; \
-		$(RESULTS_SMOKE)/experiments -only fig9,fig10,capacity -cache=false -kernel $$k -out $(RESULTS_SMOKE)/$$k >/dev/null; \
-		for f in fig9_noise_accuracy.tsv fig10_ecc.tsv capacity.tsv; do \
-			cmp $(RESULTS_SMOKE)/$$k/$$f results/$$f; \
+		$(RESULTS_SMOKE)/experiments -only $(RESULTS_ARTIFACTS) -cache=false -kernel $$k -out $(RESULTS_SMOKE)/$$k >/dev/null; \
+		for f in results/*.tsv; do \
+			cmp $(RESULTS_SMOKE)/$$k/$$(basename $$f) $$f; \
 		done; \
-		echo "results-smoke: $$k kernel matches results/"; \
+		echo "results-smoke: $$k kernel matches all $$(ls results/*.tsv | wc -l) results/*.tsv"; \
 	done
 
 bench:

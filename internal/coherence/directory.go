@@ -13,65 +13,48 @@ import (
 // the miss must be forwarded to the owner; two or more mean the line is in
 // S and the LLC's clean copy can answer directly.
 //
-// The implementation is an open-addressing hash table with inline
-// 32-byte slots: entries exist only for lines with at least one sharer
-// or a clean LLC copy, a probe touches exactly one cache line of table
-// memory (no pointer chase, no GC-visible pointers), and deletion uses
-// tombstones that the next growth rehash reclaims. A small move-to-front
-// lookaside short-circuits the table for repeated queries of the same
-// few lines — one coherence transaction interrogates its line many times
-// (census, sharer mask, LLC validity, then the mutations) interleaved
-// with its eviction victims'. All mutation goes through the named
-// helpers below; Lookup returns a copy, so writing to the returned entry
-// does not change the directory.
+// The implementation is a linear-probing hash table of 16-byte slots
+// {key, sharers}. A line address has its low 6 bits zero, so the key
+// packs the line with the record's flags (used, LLCValid, OwnerDirty);
+// a zero key is an empty slot. Records exist only for lines with at
+// least one sharer or a clean LLC copy. Four slots share a host cache
+// line, so a probe mostly touches one line of table memory (no pointer
+// chase, no GC-visible pointers). Deletion shifts the rest of the
+// cluster back instead of leaving a tombstone, so a table under
+// constant add/drop churn never degrades, and the table grows only by
+// doubling, once it is half full. All mutation goes
+// through the named helpers below; Lookup returns a copy, so writing to
+// the returned entry does not change the directory.
 type Directory struct {
 	cores int
 
-	// slots is the open-addressing table; mask = len(slots)-1 (power of
-	// two). used counts live entries, tombs counts tombstones; the table
-	// grows (shedding tombstones) when used+tombs exceeds 3/4 capacity.
+	// slots is the table; mask = len(slots)-1 (a power of two) and used
+	// counts live records.
 	slots []dirSlot
 	mask  uint64
 	used  int
-	tombs int
-
-	// lookLine/lookEnt form the lookaside. A slot pointer stays valid
-	// only until the next insertion (growth moves the slots array), so
-	// the lookaside is cleared on every rehash; callers outside this
-	// file never see slot pointers.
-	lookLine [lookN]uint64
-	lookEnt  [lookN]*DirEntry
-
-	// missLine/missSlot memoize the last failed probe: the miss path
-	// interrogates a brand-new line (CensusOf) and then immediately
-	// creates its record (AddSharer), and the memo lets entMake reuse
-	// the failed probe's free-slot candidate instead of re-walking the
-	// chain. The memoized slot stays on missLine's probe chain until a
-	// rehash (the only operation that creates empty slots), so grow()
-	// invalidates it; entMake additionally re-checks that the slot is
-	// still free before using it.
-	missLine uint64
-	missSlot int
 }
 
-// lookN is the lookaside depth: a miss transaction touches the missing
-// line, an L2-eviction victim, an LLC-eviction victim and possibly a
-// remote socket's record, so four slots keep the primary line resident
-// across the interleaved victim handling.
-const lookN = 4
+// dirSlot is one table slot: the line address with the record's flags
+// in its low bits, and the core-valid bit vector.
+type dirSlot struct {
+	key     uint64
+	sharers uint64
+}
 
+// Flags packed into a key's low bits. flagUsed makes every live key
+// nonzero, line 0 included.
 const (
-	slotEmpty uint8 = iota
-	slotUsed
-	slotTomb
+	flagUsed uint64 = 1 << iota
+	flagLLCValid
+	flagOwnerDirty
+
+	// flagBits covers the bits below a 64-byte line boundary.
+	flagBits uint64 = 63
 )
 
-// dirSlot is one table slot: key, state, and the entry inline.
-type dirSlot struct {
-	line  uint64
-	state uint8
-	e     DirEntry
-}
+// minSlots is the table's initial (and smallest) size.
+const minSlots = 64
 
 // DirEntry is the directory's view of one cache line.
 type DirEntry struct {
@@ -92,7 +75,7 @@ func NewDirectory(cores int) *Directory {
 	if cores <= 0 || cores > 64 {
 		panic(fmt.Sprintf("coherence: directory supports 1..64 cores, got %d", cores))
 	}
-	return &Directory{cores: cores, missSlot: -1}
+	return &Directory{cores: cores, slots: make([]dirSlot, minSlots), mask: minSlots - 1}
 }
 
 // Cores returns the size of the coherence domain.
@@ -108,170 +91,79 @@ func dirHash(line uint64) uint64 {
 	return h ^ h>>32
 }
 
-// ent returns line's live entry, or nil when the directory has no
-// record, consulting the lookaside before the table. The returned
-// pointer is valid only until the next insertion.
-func (d *Directory) ent(line uint64) *DirEntry {
-	if d.lookEnt[0] != nil && d.lookLine[0] == line {
-		return d.lookEnt[0]
-	}
-	for i := 1; i < lookN; i++ {
-		if d.lookEnt[i] != nil && d.lookLine[i] == line {
-			e := d.lookEnt[i]
-			copy(d.lookLine[1:i+1], d.lookLine[:i])
-			copy(d.lookEnt[1:i+1], d.lookEnt[:i])
-			d.lookLine[0], d.lookEnt[0] = line, e
-			return e
+// probe walks line's cluster from its home slot. It returns the slot
+// holding line's record and true, or the empty slot that ends the
+// cluster (where an insert of line goes) and false. An unaligned line
+// never matches a key, so it reads as absent.
+func (d *Directory) probe(line uint64) (uint64, bool) {
+	for i := dirHash(line) & d.mask; ; i = (i + 1) & d.mask {
+		k := d.slots[i].key
+		if k == 0 {
+			return i, false
 		}
-	}
-	e := d.find(line)
-	if e != nil {
-		d.lookPush(line, e)
-	}
-	return e
-}
-
-// lookPush records line at the front of the lookaside.
-func (d *Directory) lookPush(line uint64, e *DirEntry) {
-	copy(d.lookLine[1:], d.lookLine[:lookN-1])
-	copy(d.lookEnt[1:], d.lookEnt[:lookN-1])
-	d.lookLine[0], d.lookEnt[0] = line, e
-}
-
-// lookDrop removes line from the lookaside, if present.
-func (d *Directory) lookDrop(line uint64) {
-	for i := 0; i < lookN; i++ {
-		if d.lookLine[i] == line {
-			d.lookEnt[i] = nil
+		if k&^flagBits == line {
+			return i, true
 		}
 	}
 }
 
-// lookClear empties the lookaside (slot pointers went stale).
-func (d *Directory) lookClear() {
-	for i := 0; i < lookN; i++ {
-		d.lookEnt[i] = nil
+// find returns the index of line's slot, or -1 when it has no record.
+func (d *Directory) find(line uint64) int {
+	if i, ok := d.probe(line); ok {
+		return int(i)
 	}
+	return -1
 }
 
-// find probes the table for line's live slot. On a miss it memoizes the
-// first free slot (tombstone or the terminating empty) seen on the chain
-// for a subsequent entMake of the same line.
-func (d *Directory) find(line uint64) *DirEntry {
-	if d.used == 0 {
-		return nil
+// entMake returns the index of line's slot, creating an empty record if
+// needed. The index is valid until the next entMake or drop.
+func (d *Directory) entMake(line uint64) int {
+	if line&flagBits != 0 {
+		panic(fmt.Sprintf("coherence: directory line %#x is not 64-byte aligned", line))
 	}
-	free := -1
-	for h := dirHash(line); ; h++ {
-		i := int(h & d.mask)
-		s := &d.slots[i]
-		switch {
-		case s.state == slotEmpty:
-			if free < 0 {
-				free = i
-			}
-			d.missLine, d.missSlot = line, free
-			return nil
-		case s.state == slotTomb:
-			if free < 0 {
-				free = i
-			}
-		case s.line == line:
-			return &s.e
-		}
+	i, ok := d.probe(line)
+	if ok {
+		return int(i)
 	}
-}
-
-// entMake returns line's live entry, creating an empty one if needed.
-func (d *Directory) entMake(line uint64) *DirEntry {
-	if e := d.ent(line); e != nil {
-		return e
-	}
-	if len(d.slots) == 0 || (d.used+d.tombs+1)*4 > len(d.slots)*3 {
+	if (d.used+1)*2 > len(d.slots) {
 		d.grow()
+		i, _ = d.probe(line)
 	}
-	var free *dirSlot
-	if d.missSlot >= 0 && d.missLine == line && d.slots[d.missSlot].state != slotUsed {
-		free = &d.slots[d.missSlot]
-	} else {
-		for h := dirHash(line); ; h++ {
-			s := &d.slots[h&d.mask]
-			if s.state == slotTomb {
-				if free == nil {
-					free = s
-				}
-				continue
-			}
-			if s.state == slotEmpty {
-				if free == nil {
-					free = s
-				}
-				break
-			}
-		}
-	}
-	if free.state == slotTomb {
-		d.tombs--
-	}
-	*free = dirSlot{line: line, state: slotUsed}
+	d.slots[i].key = line | flagUsed
 	d.used++
-	d.lookPush(line, &free.e)
-	return &free.e
+	return int(i)
 }
 
-// grow rehashes the table, shedding tombstones. Capacity doubles only
-// when live entries fill more than 3/8 of it; otherwise the rehash keeps
-// the size and merely reclaims tombstones — without this, workloads that
-// constantly add and drop records (streaming evictions) would trigger
-// doubling on tombstone pressure alone and balloon the table.
+// grow doubles the table and reinserts every record.
 func (d *Directory) grow() {
-	n := len(d.slots) * 2
-	if d.used*8 <= len(d.slots)*3 {
-		n = len(d.slots)
-	}
-	if n < 64 {
-		n = 64
-	}
 	old := d.slots
-	d.slots = make([]dirSlot, n)
-	d.mask = uint64(n - 1)
-	d.tombs = 0
-	d.missSlot = -1
-	d.lookClear()
-	for i := range old {
-		s := &old[i]
-		if s.state != slotUsed {
-			continue
-		}
-		for h := dirHash(s.line); ; h++ {
-			t := &d.slots[h&d.mask]
-			if t.state == slotEmpty {
-				*t = *s
-				break
-			}
+	d.slots = make([]dirSlot, 2*len(old))
+	d.mask = uint64(len(d.slots) - 1)
+	for _, s := range old {
+		if s.key != 0 {
+			i, _ := d.probe(s.key &^ flagBits)
+			d.slots[i] = s
 		}
 	}
 }
 
-// drop removes line's record.
-func (d *Directory) drop(line uint64) {
-	if d.used == 0 {
-		return
-	}
-	for h := dirHash(line); ; h++ {
-		s := &d.slots[h&d.mask]
-		if s.state == slotEmpty {
-			return
-		}
-		if s.state == slotUsed && s.line == line {
-			s.state = slotTomb
-			s.e = DirEntry{}
-			d.used--
-			d.tombs++
-			d.lookDrop(line)
-			return
+// drop removes the record in slot i by backward-shift deletion. The
+// scan walks the rest of the cluster; a record whose home slot lies
+// cyclically at or before the hole (its displacement from home is at
+// least its distance back to the hole) moves into the hole, which then
+// reopens where it was. Every remaining record thus stays reachable
+// from its home, and no tombstone is left.
+func (d *Directory) drop(i int) {
+	hole := uint64(i)
+	for j := (hole + 1) & d.mask; d.slots[j].key != 0; j = (j + 1) & d.mask {
+		home := dirHash(d.slots[j].key&^flagBits) & d.mask
+		if (j-home)&d.mask >= (j-hole)&d.mask {
+			d.slots[hole] = d.slots[j]
+			hole = j
 		}
 	}
+	d.slots[hole] = dirSlot{}
+	d.used--
 }
 
 // Lookup returns a copy of the entry for line; ok is false when the
@@ -279,26 +171,28 @@ func (d *Directory) drop(line uint64) {
 // returned value does not change the directory — use the mutation
 // helpers (AddSharer, MarkClean, InvalidateLLC, ...) instead.
 func (d *Directory) Lookup(line uint64) (e DirEntry, ok bool) {
-	if p := d.ent(line); p != nil {
-		return *p, true
+	if i := d.find(line); i >= 0 {
+		return d.slots[i].entry(), true
 	}
 	return DirEntry{}, false
 }
 
+// entry unpacks a slot into its DirEntry.
+func (s dirSlot) entry() DirEntry {
+	return DirEntry{Sharers: s.sharers, LLCValid: s.key&flagLLCValid != 0, OwnerDirty: s.key&flagOwnerDirty != 0}
+}
+
 // SharerCount returns the number of private caches holding line.
 func (d *Directory) SharerCount(line uint64) int {
-	if e := d.ent(line); e != nil {
-		return bits.OnesCount64(e.Sharers)
-	}
-	return 0
+	return bits.OnesCount64(d.SharerMask(line))
 }
 
 // SharerMask returns the core-valid bit vector for line (zero when the
 // directory has no record). It is the allocation-free iteration surface
 // for the per-access hot path; callers walk it with bits.TrailingZeros64.
 func (d *Directory) SharerMask(line uint64) uint64 {
-	if e := d.ent(line); e != nil {
-		return e.Sharers
+	if i := d.find(line); i >= 0 {
+		return d.slots[i].sharers
 	}
 	return 0
 }
@@ -341,11 +235,11 @@ func (d *Directory) Sharers(line uint64) []int {
 // MarkClean is called.
 func (d *Directory) AddSharer(line uint64, core int) {
 	d.check(core)
-	e := d.entMake(line)
-	e.Sharers |= 1 << uint(core)
-	if bits.OnesCount64(e.Sharers) > 1 {
+	s := &d.slots[d.entMake(line)]
+	s.sharers |= 1 << uint(core)
+	if s.sharers&(s.sharers-1) != 0 {
 		// Two or more sharers implies every copy is clean (S state).
-		e.OwnerDirty = false
+		s.key &^= flagOwnerDirty
 	}
 }
 
@@ -354,15 +248,16 @@ func (d *Directory) AddSharer(line uint64, core int) {
 // are garbage-collected.
 func (d *Directory) RemoveSharer(line uint64, core int) {
 	d.check(core)
-	e := d.ent(line)
-	if e == nil {
+	i := d.find(line)
+	if i < 0 {
 		return
 	}
-	e.Sharers &^= 1 << uint(core)
-	if e.Sharers == 0 {
-		e.OwnerDirty = false
-		if !e.LLCValid {
-			d.drop(line)
+	s := &d.slots[i]
+	s.sharers &^= 1 << uint(core)
+	if s.sharers == 0 {
+		s.key &^= flagOwnerDirty
+		if s.key&flagLLCValid == 0 {
+			d.drop(i)
 		}
 	}
 }
@@ -371,15 +266,14 @@ func (d *Directory) RemoveSharer(line uint64, core int) {
 // (the line is in E or M in that private cache), meaning the LLC copy may
 // be stale and misses must be forwarded to the owner.
 func (d *Directory) SetOwnerDirty(line uint64) {
-	d.entMake(line).OwnerDirty = true
+	d.slots[d.entMake(line)].key |= flagOwnerDirty
 }
 
 // MarkClean records that the LLC holds a clean, current copy of the line
 // (after a write-back or a fill from memory).
 func (d *Directory) MarkClean(line uint64) {
-	e := d.entMake(line)
-	e.LLCValid = true
-	e.OwnerDirty = false
+	s := &d.slots[d.entMake(line)]
+	s.key = s.key&^flagOwnerDirty | flagLLCValid
 }
 
 // InvalidateLLC drops the clean-copy mark (LLC eviction of the line, or
@@ -387,19 +281,21 @@ func (d *Directory) MarkClean(line uint64) {
 // no LLC copy are reclaimed, so steady-state runs do not accumulate dead
 // records.
 func (d *Directory) InvalidateLLC(line uint64) {
-	e := d.ent(line)
-	if e == nil {
+	i := d.find(line)
+	if i < 0 {
 		return
 	}
-	e.LLCValid = false
-	if e.Sharers == 0 {
-		d.drop(line)
+	d.slots[i].key &^= flagLLCValid
+	if d.slots[i].sharers == 0 {
+		d.drop(i)
 	}
 }
 
 // Clear removes every record of line (clflush reaching the directory).
 func (d *Directory) Clear(line uint64) {
-	d.drop(line)
+	if i := d.find(line); i >= 0 {
+		d.drop(i)
+	}
 }
 
 // Census classifies a line the way the paper's §VI-A service-path logic
@@ -447,15 +343,16 @@ func (d *Directory) Lines() int { return d.used }
 // ForEach calls fn for every directory record in ascending line order —
 // a deterministic snapshot for state digests and dumps.
 func (d *Directory) ForEach(fn func(line uint64, e DirEntry)) {
-	idx := make([]int, 0, d.used)
-	for i := range d.slots {
-		if d.slots[i].state == slotUsed {
-			idx = append(idx, i)
+	live := make([]dirSlot, 0, d.used)
+	for _, s := range d.slots {
+		if s.key != 0 {
+			live = append(live, s)
 		}
 	}
-	sort.Slice(idx, func(i, j int) bool { return d.slots[idx[i]].line < d.slots[idx[j]].line })
-	for _, i := range idx {
-		fn(d.slots[i].line, d.slots[i].e)
+	// Lines are distinct, so ordering by key orders by line.
+	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
+	for _, s := range live {
+		fn(s.key&^flagBits, s.entry())
 	}
 }
 

@@ -159,7 +159,7 @@ type lineMeta struct {
 
 // metaLookN is the lookaside depth over the line-metadata table; four
 // slots keep the accessed line resident across interleaved eviction-
-// victim bookkeeping (see the analogous directory lookaside).
+// victim bookkeeping.
 const metaLookN = 4
 
 // metaSlot is one open-addressing table slot with the record inline.

@@ -76,6 +76,11 @@ func Percentile(sorted []float64, p float64) float64 {
 	if lo+1 >= n {
 		return sorted[n-1]
 	}
+	if sorted[lo] == sorted[lo+1] {
+		// Interpolating between equal neighbours can round one ulp
+		// above them, past the next percentile.
+		return sorted[lo]
+	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
